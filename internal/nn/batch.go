@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // BatchPredictor runs B streams' scratch inference through one shared
 // network in a single pass per layer, so each weight tile is loaded from
 // memory once per batch instead of once per stream — the cross-session
@@ -18,7 +16,6 @@ type BatchPredictor struct {
 	slots   []*Predictor
 	cur     [][][]float64
 	outs    [][][]float64
-	scrs    []*scratch
 	rowsX   [][]float64 // flattened input rows for the dense row kernels
 	rowsO   [][]float64 // matching output rows
 	logits  [][]float64
@@ -33,7 +30,6 @@ func (n *Network) NewBatchPredictor(maxB, maxT, inDim int) *BatchPredictor {
 		slots:   make([]*Predictor, maxB),
 		cur:     make([][][]float64, maxB),
 		outs:    make([][][]float64, maxB),
-		scrs:    make([]*scratch, maxB),
 		rowsX:   make([][]float64, 0, maxB*maxT),
 		rowsO:   make([][]float64, 0, maxB*maxT),
 		logits:  make([][]float64, maxB),
@@ -78,18 +74,11 @@ func (bp *BatchPredictor) Forward(xs [][][]float64) [][]float64 {
 				denseRowsInto(rowsO, rowsX, v.Weight.W, v.Bias.W, v.Out, v.In)
 			}
 			copy(cur, outs)
-		case *LSTM:
-			outs := bp.outs[:B]
-			scrs := bp.scrs[:B]
-			for b := range cur {
-				scrs[b] = bp.slots[b].scr[i]
-			}
-			v.batchInfer(cur, outs, scrs)
-			copy(cur, outs)
 		case *Conv1D:
 			// Per-stream conv calls back to back: the K·In weight rows stay
 			// hot across consecutive streams without restructuring the
-			// tap-ordered accumulation.
+			// tap-ordered accumulation. LSTMs take the default per-stream
+			// path for the same reason: their Wx and Wh tiles stay hot.
 			for b, x := range cur {
 				cur[b] = v.infer(x, bp.slots[b].scr[i])
 			}
@@ -143,47 +132,4 @@ func (bp *BatchPredictor) PredictClass(xs [][][]float64) []int {
 		classes[b] = Argmax(lg)
 	}
 	return classes
-}
-
-// batchInfer runs the LSTM over B ragged windows timestep-outer /
-// stream-inner, so Wx and Wh stream through cache once per timestep for
-// the whole batch rather than once per stream. Each stream's gate
-// pre-activations and state updates use its own scratch in exactly the
-// per-stream order, keeping outputs bit-identical to B infer calls.
-func (l *LSTM) batchInfer(xs, outs [][][]float64, scrs []*scratch) {
-	H := l.Hidden
-	maxT := 0
-	for b, x := range xs {
-		if len(x) > maxT {
-			maxT = len(x)
-		}
-		s := scrs[b]
-		outs[b] = s.rows[:len(x)]
-		h, c := s.a, s.b
-		for j := 0; j < H; j++ {
-			h[j], c[j] = 0, 0
-		}
-	}
-	for t := 0; t < maxT; t++ {
-		for b, x := range xs {
-			if t >= len(x) {
-				continue
-			}
-			s := scrs[b]
-			h, c, pre := s.a, s.b, s.c
-			l.gates(x[t], h, pre)
-			out := outs[b][t]
-			for j := 0; j < H; j++ {
-				i := sigmoid(pre[j])
-				f := sigmoid(pre[H+j])
-				g := math.Tanh(pre[2*H+j])
-				o := sigmoid(pre[3*H+j])
-				cv := f*c[j] + i*g
-				hv := o * math.Tanh(cv)
-				c[j] = cv
-				h[j] = hv
-				out[j] = hv
-			}
-		}
-	}
 }

@@ -11,13 +11,12 @@ import "math"
 // alloc_test.go and safemon's perf suite).
 
 // scratch is one layer's reusable inference workspace. rows is the output
-// sequence buffer (row views into one flat backing array); a, b and c are
-// auxiliary vectors for layers that need running state inside a single
-// forward (the LSTM's hidden, cell and pre-activation vectors; the
-// Flatten layer's backing row).
+// sequence buffer (row views into one flat backing array); a is the
+// Flatten layer's backing row; lstm is the LSTM's recurrence window.
 type scratch struct {
-	rows    [][]float64
-	a, b, c []float64
+	rows [][]float64
+	a    []float64
+	lstm *lstmWindow
 }
 
 // newSeqScratch builds a scratch whose rows hold up to t rows of width d.
@@ -224,34 +223,14 @@ func (c *Conv1D) infer(x [][]float64, s *scratch) [][]float64 {
 }
 
 func (l *LSTM) newScratch(maxT, _ int) *scratch {
-	H := l.Hidden
-	s := newSeqScratch(maxT, H)
-	s.a = make([]float64, H)   // hidden state
-	s.b = make([]float64, H)   // cell state
-	s.c = make([]float64, 4*H) // gate pre-activations
-	return s
+	return &scratch{lstm: newLSTMWindow(maxT, l.Hidden, true)}
 }
 
 func (l *LSTM) infer(x [][]float64, s *scratch) [][]float64 {
-	T, H := len(x), l.Hidden
-	out := s.rows[:T]
-	h, c, pre := s.a, s.b, s.c
-	for j := 0; j < H; j++ {
-		h[j], c[j] = 0, 0
-	}
-	for t := 0; t < T; t++ {
-		l.gates(x[t], h, pre)
-		for j := 0; j < H; j++ {
-			i := sigmoid(pre[j])
-			f := sigmoid(pre[H+j])
-			g := math.Tanh(pre[2*H+j])
-			o := sigmoid(pre[3*H+j])
-			cv := f*c[j] + i*g
-			hv := o * math.Tanh(cv)
-			c[j] = cv
-			h[j] = hv
-			out[t][j] = hv
-		}
-	}
-	return out
+	w := s.lstm
+	// hs[0] is never written, but cs[0] is a ring row a previous window
+	// overwrote.
+	clear(w.cs[0])
+	l.run(x, w)
+	return w.hs[1 : len(x)+1]
 }

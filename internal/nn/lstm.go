@@ -9,10 +9,6 @@ import (
 // [T][In] into hidden states [T][Hidden], with full backpropagation through
 // time over the window. Gate layout in the packed weight matrices is
 // (input, forget, cell, output).
-//
-// The layer also supports stateful streaming via Step, which the online
-// monitor uses to process one kinematics sample at a time without
-// re-running the whole window.
 type LSTM struct {
 	In, Hidden int
 
@@ -20,18 +16,55 @@ type LSTM struct {
 	Wh *Param // 4*Hidden x Hidden, hidden-to-gates
 	B  *Param // 4*Hidden
 
-	// caches for BPTT
-	xs              [][]float64
-	hs, cs          [][]float64 // hidden and cell states, length T+1 (index 0 = initial)
-	gi, gf, gg, g_o [][]float64 // gate activations per timestep
-
-	// streaming state and scratch, allocated by ResetStream and reused by
-	// every Step so the steady-state step path never touches the heap
-	streamH, streamC     []float64
-	streamPre, streamOut []float64
+	// BPTT state of the last train-mode Forward: its input window, its
+	// recurrence and the gate-gradient rows Backward fills. Both buffers
+	// are reused by the next training sample.
+	xs     [][]float64
+	win    *lstmWindow
+	dGates [][]float64
 }
 
 var _ Layer = (*LSTM)(nil)
+
+// lstmWindow holds one window's recurrence. Its gates, cs and tcs rows
+// are rings indexed modulo their length, so BPTT can keep every row while
+// inference keeps only the few a step reads. A gate row first receives one
+// timestep's pre-activations and is overwritten in place by its
+// activations (i, f, g, o) as the step runs. hs[t] and cs[t] are the
+// hidden and cell state entering step t, so hs[0] and cs[0] are the zero
+// initial state and hs[1:] is the layer's output. tcs[t] is tanh(cs[t+1]),
+// which BPTT reuses instead of recomputing.
+type lstmWindow struct {
+	gates [][]float64 // [T][4H], or [lstmInferRows][4H]
+	hs    [][]float64 // [T+1][H]
+	cs    [][]float64 // [T+1][H], or [2][H]: step t reads cs[t], writes cs[t+1]
+	tcs   [][]float64 // [T][H], or [1][H]
+}
+
+// lstmInferRows is the number of gate rows an inference window holds: the
+// input projection is computed that many timesteps at a time (the pair
+// seqDenseInto processes together), so a stream's scratch does not grow
+// with the window.
+const lstmInferRows = 2
+
+// newLSTMWindow allocates a zeroed window of up to maxT steps, with every
+// row for BPTT or, for inference, only the ring rows a step reads.
+func newLSTMWindow(maxT, hidden int, inference bool) *lstmWindow {
+	if inference {
+		return &lstmWindow{
+			gates: seq(lstmInferRows, 4*hidden),
+			hs:    seq(maxT+1, hidden),
+			cs:    seq(2, hidden),
+			tcs:   seq(1, hidden),
+		}
+	}
+	return &lstmWindow{
+		gates: seq(maxT, 4*hidden),
+		hs:    seq(maxT+1, hidden),
+		cs:    seq(maxT+1, hidden),
+		tcs:   seq(maxT, hidden),
+	}
+}
 
 // NewLSTM constructs an LSTM layer with Glorot-initialized weights and
 // forget-gate bias of 1 (standard practice for training stability).
@@ -53,113 +86,120 @@ func NewLSTM(rng *rand.Rand, in, hidden int) *LSTM {
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// gates computes the pre-activation gate vector for input x and previous
-// hidden state h, writing into dst of length 4*Hidden. Each lane's
-// accumulation order — bias, then the Wx terms, then the Wh terms — is
-// preserved across the two kernel calls, so gate pre-activations are
-// bit-identical to the scalar loop this replaced.
-func (l *LSTM) gates(x, h, dst []float64) {
-	H := l.Hidden
-	matvecInto(dst, l.Wx.W, l.B.W, x, 4*H, l.In)
-	matvecAccum(dst, l.Wh.W, h, 4*H, H)
+// run is the LSTM forward shared by training and inference. It computes
+// bias + Wx·x_t for a block of timesteps in one cache-blocked pass, then
+// runs the recurrence over the block, adding Wh·h_{t-1} to each row before
+// its activations. Each gate lane's accumulation order — bias, then the
+// Wx terms, then the Wh terms — is the one chain of the per-step scalar
+// loop, so the states are bit-identical to it. A block is as many
+// timesteps as w.gates has rows: the whole window for BPTT, which reads
+// every row back, and lstmInferRows for inference. w.hs[0] and w.cs[0]
+// must be zero.
+func (l *LSTM) run(x [][]float64, w *lstmWindow) {
+	T, H := len(x), l.Hidden
+	for t0 := 0; t0 < T; t0 += len(w.gates) {
+		gates := w.gates[:min(len(w.gates), T-t0)]
+		seqDenseInto(gates, x[t0:t0+len(gates)], l.Wx.W, l.B.W, 4*H, l.In)
+		for k, a := range gates {
+			t := t0 + k
+			matvecAccum(a, l.Wh.W, w.hs[t], 4*H, H)
+			cPrev, c := w.cs[t%len(w.cs)], w.cs[(t+1)%len(w.cs)]
+			tc, h := w.tcs[t%len(w.tcs)], w.hs[t+1]
+			for j := 0; j < H; j++ {
+				i := sigmoid(a[j])
+				f := sigmoid(a[H+j])
+				g := math.Tanh(a[2*H+j])
+				o := sigmoid(a[3*H+j])
+				cv := f*cPrev[j] + i*g
+				tv := math.Tanh(cv)
+				a[j], a[H+j], a[2*H+j], a[3*H+j] = i, f, g, o
+				c[j], tc[j] = cv, tv
+				h[j] = o * tv
+			}
+		}
+	}
 }
 
 // Forward implements Layer, running the full window with state reset.
 // BPTT caches are only written in train mode, keeping inference read-only
 // (and therefore safe for concurrent streams sharing one trained network).
+// In train mode the returned window is the layer's own cache and is
+// overwritten by the next train-mode Forward.
 func (l *LSTM) Forward(x [][]float64, train bool) [][]float64 {
-	T, H := len(x), l.Hidden
-	out := seq(T, H)
-	h := make([]float64, H)
-	c := make([]float64, H)
-	if train {
-		l.xs = x
-		l.hs = seq(T+1, H)
-		l.cs = seq(T+1, H)
-		l.gi = seq(T, H)
-		l.gf = seq(T, H)
-		l.gg = seq(T, H)
-		l.g_o = seq(T, H)
+	T := len(x)
+	if !train {
+		w := newLSTMWindow(T, l.Hidden, true)
+		l.run(x, w)
+		return w.hs[1:]
 	}
-
-	pre := make([]float64, 4*H)
-	for t := 0; t < T; t++ {
-		l.gates(x[t], h, pre)
-		for j := 0; j < H; j++ {
-			i := sigmoid(pre[j])
-			f := sigmoid(pre[H+j])
-			g := math.Tanh(pre[2*H+j])
-			o := sigmoid(pre[3*H+j])
-			cv := f*c[j] + i*g
-			hv := o * math.Tanh(cv)
-			if train {
-				l.gi[t][j], l.gf[t][j], l.gg[t][j], l.g_o[t][j] = i, f, g, o
-				l.cs[t+1][j] = cv
-				l.hs[t+1][j] = hv
-			}
-			c[j] = cv
-			h[j] = hv
-			out[t][j] = hv
-		}
+	if l.win == nil || len(l.win.gates) < T {
+		l.win = newLSTMWindow(T, l.Hidden, false)
 	}
-	return out
+	l.xs = x
+	l.run(x, l.win)
+	return l.win.hs[1 : T+1]
 }
 
 // Backward implements Layer (full BPTT over the cached window).
 func (l *LSTM) Backward(gradOut [][]float64) [][]float64 {
+	l.backwardParams(gradOut)
+	gradIn := seq(len(l.xs), l.In)
+	seqTAccum(gradIn, l.dGates[:len(l.xs)], l.Wx.W, 4*l.Hidden, l.In)
+	return gradIn
+}
+
+// backwardParams is Backward without the input gradient, which the first
+// layer of a network does not need. BPTT runs in two phases. The recurrent
+// pass walks t = T-1…0 computing each step's gate gradients and the one
+// quantity the next step needs, dh = Whᵀ·dGate. The parameter gradients
+// depend on nothing else, so blocked passes over the stored gate
+// gradients compute them afterwards, each element in the order of the
+// per-step scalar loop (see kernel.go).
+func (l *LSTM) backwardParams(gradOut [][]float64) {
 	T, H := len(l.xs), l.Hidden
-	gradIn := seq(T, l.In)
+	w := l.win
+	if len(l.dGates) < T {
+		l.dGates = seq(T, 4*H)
+	}
+	dGates := l.dGates[:T]
 	dhNext := make([]float64, H)
 	dcNext := make([]float64, H)
-	dGate := make([]float64, 4*H)
-
 	for t := T - 1; t >= 0; t-- {
+		a, dG, gOut := w.gates[t], dGates[t], gradOut[t]
+		cPrev, tcCur := w.cs[t], w.tcs[t]
 		for j := 0; j < H; j++ {
-			dh := gradOut[t][j] + dhNext[j]
-			c := l.cs[t+1][j]
-			tc := math.Tanh(c)
-			o := l.g_o[t][j]
+			dh := gOut[j] + dhNext[j]
+			tc := tcCur[j]
+			i, f, g, o := a[j], a[H+j], a[2*H+j], a[3*H+j]
 			do := dh * tc
 			dc := dh*o*(1-tc*tc) + dcNext[j]
-			i, f, g := l.gi[t][j], l.gf[t][j], l.gg[t][j]
 			di := dc * g
 			dg := dc * i
-			df := dc * l.cs[t][j]
+			df := dc * cPrev[j]
 			dcNext[j] = dc * f
 			// pre-activation gradients
-			dGate[j] = di * i * (1 - i)
-			dGate[H+j] = df * f * (1 - f)
-			dGate[2*H+j] = dg * (1 - g*g)
-			dGate[3*H+j] = do * o * (1 - o)
+			dG[j] = di * i * (1 - i)
+			dG[H+j] = df * f * (1 - f)
+			dG[2*H+j] = dg * (1 - g*g)
+			dG[3*H+j] = do * o * (1 - o)
 		}
-		// accumulate parameter grads and input/hidden grads
-		for j := range dhNext {
-			dhNext[j] = 0
+		if t > 0 {
+			for j := range dhNext {
+				dhNext[j] = 0
+			}
+			matvecTAccum(dhNext, l.Wh.W, dG, 4*H, H)
 		}
-		xt := l.xs[t]
-		ht := l.hs[t]
-		for g := 0; g < 4*H; g++ {
-			dg := dGate[g]
-			if dg == 0 {
-				continue
-			}
-			l.B.G[g] += dg
-			wxRow := l.Wx.W[g*l.In : (g+1)*l.In]
-			gxRow := l.Wx.G[g*l.In : (g+1)*l.In]
-			gi := gradIn[t]
-			for i := 0; i < l.In; i++ {
-				gxRow[i] += dg * xt[i]
-				gi[i] += dg * wxRow[i]
-			}
-			whRow := l.Wh.W[g*H : (g+1)*H]
-			ghRow := l.Wh.G[g*H : (g+1)*H]
-			for i := 0; i < H; i++ {
-				ghRow[i] += dg * ht[i]
-				dhNext[i] += dg * whRow[i]
+	}
+
+	for t := T - 1; t >= 0; t-- {
+		for g, d := range dGates[t] {
+			if d != 0 {
+				l.B.G[g] += d
 			}
 		}
 	}
-	return gradIn
+	outerAccum(l.Wx.G, dGates, l.xs, 4*H, l.In)
+	outerAccum(l.Wh.G, dGates, w.hs[:T], 4*H, H)
 }
 
 // Params implements Layer.
@@ -167,43 +207,3 @@ func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // OutDim implements Layer.
 func (l *LSTM) OutDim(int) int { return l.Hidden }
-
-// ResetStream initializes (first call) or zeroes (subsequent calls) the
-// streaming hidden/cell state and scratch used by Step. It must be called
-// before the first Step of every stream; after it, a reused layer is
-// indistinguishable from a fresh one and Step allocates nothing.
-func (l *LSTM) ResetStream() {
-	H := l.Hidden
-	if len(l.streamH) != H {
-		l.streamH = make([]float64, H)
-		l.streamC = make([]float64, H)
-		l.streamPre = make([]float64, 4*H)
-		l.streamOut = make([]float64, H)
-		return
-	}
-	for j := 0; j < H; j++ {
-		l.streamH[j], l.streamC[j] = 0, 0
-	}
-}
-
-// Step processes one timestep statefully (inference only), returning the
-// new hidden state. It backs the online monitor's constant-latency path.
-// ResetStream must be called once before the first Step; Step itself never
-// allocates, and the returned slice is reused by the next Step.
-func (l *LSTM) Step(x []float64) []float64 {
-	H := l.Hidden
-	pre, out := l.streamPre, l.streamOut
-	l.gates(x, l.streamH, pre)
-	for j := 0; j < H; j++ {
-		i := sigmoid(pre[j])
-		f := sigmoid(pre[H+j])
-		g := math.Tanh(pre[2*H+j])
-		o := sigmoid(pre[3*H+j])
-		c := f*l.streamC[j] + i*g
-		h := o * math.Tanh(c)
-		l.streamC[j] = c
-		l.streamH[j] = h
-		out[j] = h
-	}
-	return out
-}

@@ -65,10 +65,15 @@ func (n *Network) PredictClass(x [][]float64) int {
 	return Argmax(n.Forward(x, false))
 }
 
-// backward pushes a logits gradient through the network.
+// backward pushes a logits gradient through the network. Nothing reads
+// the first layer's input gradient, so a leading LSTM skips computing it.
 func (n *Network) backward(grad []float64) {
 	g := [][]float64{grad}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if l, ok := n.Layers[i].(*LSTM); i == 0 && ok {
+			l.backwardParams(g)
+			return
+		}
 		g = n.Layers[i].Backward(g)
 	}
 }

@@ -129,22 +129,6 @@ func TestDropoutTrainingMasks(t *testing.T) {
 	}
 }
 
-func TestLSTMStepMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	l := NewLSTM(rng, 3, 4)
-	x := randSeq(rng, 6, 3)
-	batch := l.Forward(x, false)
-	l.ResetStream()
-	for i := range x {
-		h := l.Step(x[i])
-		for j := range h {
-			if math.Abs(h[j]-batch[i][j]) > 1e-12 {
-				t.Fatalf("step %d unit %d: stream %.12f vs batch %.12f", i, j, h[j], batch[i][j])
-			}
-		}
-	}
-}
-
 func TestGlobalMaxPool(t *testing.T) {
 	g := &GlobalMaxPool{}
 	x := [][]float64{{1, 5}, {3, 2}, {2, 4}}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gesture"
@@ -72,40 +73,57 @@ func (d *contextDetector) Fit(ctx context.Context, trajs []*Trajectory) error {
 		elCfg.TrainStride = d.cfg.TrainStride
 	}
 	elCfg.Seed = d.cfg.Seed + 7
-	elCfg.Verbose = d.cfg.Verbose
+	verbose := serializedVerbose(d.cfg.Verbose)
+	elCfg.Verbose = verbose
 
-	var lib *core.ErrorLibrary
+	var gcCfg *core.GestureClassifierConfig
+	if d.gestureSpecific && !d.cfg.GroundTruthContext {
+		c := core.DefaultGestureClassifierConfig()
+		if d.cfg.GestureFeatures != nil {
+			c.Features = d.cfg.GestureFeatures
+		}
+		if d.cfg.Epochs > 0 {
+			c.Epochs = d.cfg.Epochs
+		}
+		if d.cfg.TrainStride > 0 {
+			c.TrainStride = d.cfg.TrainStride
+		}
+		c.Seed = d.cfg.Seed
+		c.Verbose = verbose
+		gcCfg = &c
+	}
+
+	// The two stages draw from their own seeded RNGs and share nothing
+	// mutable (the trajectories are only read), so they train
+	// concurrently with the same weights as one after the other.
+	var (
+		lib   *core.ErrorLibrary
+		gc    *core.GestureClassifier
+		gcErr error
+		wg    sync.WaitGroup
+	)
+	if gcCfg != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gc, gcErr = core.TrainGestureClassifier(trajs, *gcCfg)
+		}()
+	}
 	var err error
 	if d.gestureSpecific {
 		lib, err = core.TrainErrorLibrary(trajs, elCfg)
 	} else {
 		lib, err = core.TrainMonolithicDetector(trajs, elCfg)
 	}
+	wg.Wait()
 	if err != nil {
 		return fmt.Errorf("safemon: fit %s error stage: %w", d.name, err)
 	}
-
-	var gc *core.GestureClassifier
-	if d.gestureSpecific && !d.cfg.GroundTruthContext {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		gcCfg := core.DefaultGestureClassifierConfig()
-		if d.cfg.GestureFeatures != nil {
-			gcCfg.Features = d.cfg.GestureFeatures
-		}
-		if d.cfg.Epochs > 0 {
-			gcCfg.Epochs = d.cfg.Epochs
-		}
-		if d.cfg.TrainStride > 0 {
-			gcCfg.TrainStride = d.cfg.TrainStride
-		}
-		gcCfg.Seed = d.cfg.Seed
-		gcCfg.Verbose = d.cfg.Verbose
-		gc, err = core.TrainGestureClassifier(trajs, gcCfg)
-		if err != nil {
-			return fmt.Errorf("safemon: fit %s context stage: %w", d.name, err)
-		}
+	if gcErr != nil {
+		return fmt.Errorf("safemon: fit %s context stage: %w", d.name, gcErr)
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 
 	mon := core.NewMonitor(gc, lib)
@@ -131,6 +149,20 @@ func (d *contextDetector) Fit(ctx context.Context, trajs []*Trajectory) error {
 	d.mon = mon
 	d.loadErr = nil
 	return nil
+}
+
+// serializedVerbose wraps a progress callback so that concurrently
+// training stages never call it at the same time. nil stays nil.
+func serializedVerbose(fn func(string)) func(string) {
+	if fn == nil {
+		return nil
+	}
+	var mu sync.Mutex
+	return func(line string) {
+		mu.Lock()
+		defer mu.Unlock()
+		fn(line)
+	}
 }
 
 // contextPayload is the artifact payload of the context-aware, lookahead

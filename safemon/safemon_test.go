@@ -2,6 +2,7 @@ package safemon
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -184,6 +185,35 @@ func TestUnfittedErrors(t *testing.T) {
 		if _, err := det.Run(context.Background(), testFold(t).Test[0]); err == nil {
 			t.Errorf("%s: Run before Fit should fail", name)
 		}
+	}
+}
+
+// TestContextFitConcurrentStages fits the two context-aware stages, which
+// train concurrently, with a progress callback that is not safe for
+// concurrent use (under -race an unserialized call is reported) and that
+// cancels the context on its first line: Fit must deliver the lines one
+// at a time and then report the cancellation instead of installing the
+// half-trained models.
+func TestContextFitConcurrentStages(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var lines []string
+	opts := append(quickOptions("context-aware"), WithVerbose(func(line string) {
+		lines = append(lines, line)
+		cancel()
+	}))
+	det, err := Open("context-aware", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.Fit(ctx, testFold(t).Train); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fit cancelled mid-training = %v, want context.Canceled", err)
+	}
+	if len(lines) == 0 {
+		t.Fatal("no progress lines from either stage")
+	}
+	if _, err := det.NewSession(); err == nil {
+		t.Fatal("a cancelled Fit left the detector usable")
 	}
 }
 

@@ -359,10 +359,17 @@ func (s *Server) runMuxSession(ctx context.Context, ms *muxSession, sess *Sessio
 	frames := 0
 	healthy := true
 	endReason := "error: handler exit"
-	defer func() {
-		rec.End(frames, endReason)
-		sess.Release(healthy)
-	}()
+	// finish records the session's end and releases it, once; the done
+	// and error records are written after it, as in handleStream.
+	finished := false
+	finish := func() {
+		if !finished {
+			finished = true
+			rec.End(frames, endReason)
+			sess.Release(healthy)
+		}
+	}
+	defer finish()
 	// Reused across the loop like handleStream's frame: its pointer rides
 	// the shard mailbox, and Push blocks until the shard replied, so
 	// hoisting it saves one heap allocation per frame.
@@ -385,6 +392,7 @@ func (s *Server) runMuxSession(ctx context.Context, ms *muxSession, sess *Sessio
 		case mf, ok := <-ms.in:
 			if !ok {
 				endReason = "eof"
+				finish()
 				mw.done(ms.sid, frames)
 				return
 			}
@@ -395,6 +403,7 @@ func (s *Server) runMuxSession(ctx context.Context, ms *muxSession, sess *Sessio
 				healthy = false
 				endReason = "error: push"
 				ms.failed.Store(true)
+				finish()
 				mw.error(ms.sid, pushError(err))
 				return
 			}

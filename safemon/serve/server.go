@@ -336,11 +336,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reserved := true
-	defer func() {
+	unreserve := func() {
 		if reserved {
+			reserved = false
 			s.manager.Unreserve()
 		}
-	}()
+	}
+	defer unreserve()
 
 	// HTTP/1.1 interleaves request-body reads with response writes only
 	// when full duplex is enabled; HTTP/2 duplexes natively.
@@ -382,12 +384,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	armIdle()
 	switch err := conn.next(&first); {
 	case errors.Is(err, io.EOF):
+		unreserve()
 		conn.done(0)
 		return
 	case err != nil:
+		unreserve()
 		conn.fail(&ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 		return
 	case first.Labels != nil && first.Frame != nil:
+		unreserve()
 		conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
 			Message: "labels and frame in one record; send the labels header on its own line"})
 		return
@@ -399,12 +404,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	sess, err := s.manager.Open(backend, labels)
 	if err != nil {
+		unreserve()
 		conn.fail(openError(err))
 		return
 	}
 	reserved = false // the session owns the slot now
 	healthy := true
-	defer func() { sess.Release(healthy) }()
 
 	// Ledger recording: the whole stream — lifecycle, verdicts with
 	// their input frames, guard edges — lands in the event log, where a
@@ -414,7 +419,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	rec.Start(labels32(labels))
 	frames := 0
 	endReason := "error: handler exit"
-	defer func() { rec.End(frames, endReason) }()
+	// finish records the session's end and releases it, once. Every
+	// terminal record (done or error) is written after it, so a client
+	// that has read one already sees the session closed in /stats and
+	// its end in the ledger.
+	finished := false
+	finish := func() {
+		if !finished {
+			finished = true
+			rec.End(frames, endReason)
+			sess.Release(healthy)
+		}
+	}
+	defer finish()
 
 	var sg *streamGuard
 	if policy != nil {
@@ -423,6 +440,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// Policies are validated at construction; reaching this is a
 			// server bug, not a client error.
 			healthy = false
+			finish()
 			conn.fail(&ErrorMsg{Code: http.StatusInternalServerError, Message: err.Error()})
 			return
 		}
@@ -448,6 +466,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			switch err := conn.next(&rc2); {
 			case errors.Is(err, io.EOF):
 				endReason = "eof"
+				finish()
 				conn.done(frames)
 				return
 			case err != nil:
@@ -455,6 +474,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				// way the stream is over.
 				healthy = frames > 0 && errors.Is(err, io.ErrUnexpectedEOF)
 				endReason = "error: bad record"
+				finish()
 				conn.fail(&ErrorMsg{Code: http.StatusBadRequest, Message: "bad record: " + err.Error()})
 				return
 			}
@@ -463,6 +483,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if len(msg.Frame) != frameSize {
 			healthy = false
 			endReason = "error: bad frame"
+			finish()
 			conn.fail(&ErrorMsg{Code: http.StatusBadRequest,
 				Message: fmt.Sprintf("frame needs %d values, got %d", frameSize, len(msg.Frame))})
 			return
@@ -473,6 +494,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			healthy = false
 			endReason = "error: push"
+			finish()
 			conn.fail(pushError(err))
 			return
 		}

@@ -9,23 +9,29 @@
 # path (BenchmarkBatchedStep) — plus the guard policy engine's
 # BenchmarkGuardStep, the event ledger's emit path
 # (BenchmarkLedgerAppend), the binary wire codec's encode+decode
-# round trip (BenchmarkCodecRoundTrip, binary subs only), and the
+# round trip (BenchmarkCodecRoundTrip, binary subs only), the
 # instrumented serve warm path with stage telemetry enabled
-# (BenchmarkServeStreamWarm), and enforces two budgets:
+# (BenchmarkServeStreamWarm), and one training step of the gesture
+# classifier (BenchmarkLSTMTrainStep), and enforces two budgets:
 #
 #   1. allocs/op must be 0 on every repeat of every sub-benchmark: the
 #      zero-allocation guarantee README's Performance section documents
 #      must hold for models loaded from artifacts exactly as it does for
 #      freshly fitted ones, and neither the closed-loop guard nor durable
-#      event recording may add anything to the per-frame path.
+#      event recording may add anything to the per-frame path. The
+#      training step is exempt (training allocates per sample by design:
+#      dropout masks, layer caches, input gradients); its allocs/op are
+#      printed, not gated.
 #   2. the per-benchmark MEDIAN ns/op must stay within the budget recorded
 #      in scripts/bench_baseline.txt. Single short runs are noisy (PR 6's
 #      ledger-overhead row went negative from exactly that), so every
 #      benchmark is repeated BENCHCOUNT times (-count, default 5) and
-#      gated on the median, not a lone sample.
+#      gated on the median, not a lone sample. Each repeat runs for a
+#      fixed duration rather than a fixed iteration count: at 10
+#      iterations a repeat measures warm-up, not steady state.
 #
 # Knobs:
-#   BENCHTIME   per-repeat iteration count (default 10x)
+#   BENCHTIME   per-repeat duration (default 200ms; any -benchtime value)
 #   BENCHCOUNT  number of repeats the median is taken over (default 5)
 #   BENCHGUARD_NSOP_SCALE
 #               multiplier applied to every ns/op budget — set it above 1
@@ -38,7 +44,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-BENCHTIME="${BENCHTIME:-10x}"
+BENCHTIME="${BENCHTIME:-200ms}"
 BENCHCOUNT="${BENCHCOUNT:-5}"
 BENCHGUARD_NSOP_SCALE="${BENCHGUARD_NSOP_SCALE:-1}"
 baseline="scripts/bench_baseline.txt"
@@ -85,7 +91,16 @@ warmout="$("$GO" test -run='^$' -bench='^BenchmarkServeStreamWarm$' \
 	echo "benchguard: serve warm-path benchmark run failed" >&2
 	exit 1
 }
+# One training step of the gesture classifier: the cost behind every
+# fitted backend's cold start.
+trainout="$("$GO" test -run='^$' -bench='^BenchmarkLSTMTrainStep$' \
+	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./internal/nn/)" || {
+	echo "$trainout"
+	echo "benchguard: LSTM training-step benchmark run failed" >&2
+	exit 1
+}
 out="$out
+$trainout
 $batchout
 $guardout
 $ledgerout
@@ -107,10 +122,12 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 		}
 		close(baseline)
 	}
-	/^Benchmark(SessionStep|BatchedStep|GuardStep|LedgerAppend|CodecRoundTrip|ServeStreamWarm)/ {
+	/^Benchmark(SessionStep|BatchedStep|GuardStep|LedgerAppend|CodecRoundTrip|ServeStreamWarm|LSTMTrainStep)/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
-		if ($(NF-1) + 0 > 0) {
+		if (name == "BenchmarkLSTMTrainStep") {
+			printf "benchguard: %s %s allocs/op, %s B/op (recorded; exempt from the 0 allocs/op budget)\n", name, $(NF-1), $(NF-3)
+		} else if ($(NF-1) + 0 > 0) {
 			printf "benchguard: %s allocates %s allocs/op (budget: 0)\n", name, $(NF-1)
 			bad = 1
 		}
@@ -152,4 +169,4 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 	echo "benchguard: hot-path budget exceeded (allocs/op or median ns/op)" >&2
 	exit 1
 }
-echo "benchguard: all session-step, batched-step, guard-step, ledger-append, codec round-trip and serve warm-path benchmarks within the 0 allocs/op and median ns/op budgets"
+echo "benchguard: all session-step, batched-step, guard-step, ledger-append, codec round-trip, serve warm-path and LSTM training-step benchmarks within their allocs/op and median ns/op budgets"
