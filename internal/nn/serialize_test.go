@@ -95,72 +95,69 @@ func TestDecodeNetworkRoundTripStillExact(t *testing.T) {
 	}
 }
 
-// TestQuantSectionRoundTrip pins the optional int8 payload section:
-// quantized tensors survive encode/decode exactly, and a decoded network
-// keeps producing the quantized inference outputs bit-identically.
-func TestQuantSectionRoundTrip(t *testing.T) {
+// legacyLayerSpec is layerSpec as artifacts of the former int8 error-head
+// option wrote it: the same fields plus an int8 weight section per dense
+// and conv1d layer. The decoder no longer has those fields, and gob skips
+// fields the destination lacks.
+type legacyLayerSpec struct {
+	Kind       string
+	Ints       []int
+	Float      float64
+	Weights    [][]float64
+	Quant      []int8
+	QuantScale []float64
+}
+
+type legacyNetSpec struct {
+	Layers []legacyLayerSpec
+}
+
+// TestDecodeNetworkIgnoresLegacyQuantSection pins compatibility with
+// artifacts that carry the old int8 section: they still decode, and
+// inference runs on their float weights, bit-identical to the network
+// they were written from.
+func TestDecodeNetworkIgnoresLegacyQuantSection(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := BuildConv1D(rng, Conv1DConfig{
 		InputDim: 4, ConvUnits: []int{6, 4}, KernelSize: 3, DenseUnits: 5, NumClasses: 2, Dropout: 0.1,
 	})
-	net.Quantize()
+	var legacy legacyNetSpec
+	for _, l := range net.Layers {
+		s, err := specFor(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := legacyLayerSpec{Kind: s.Kind, Ints: s.Ints, Float: s.Float, Weights: s.Weights}
+		if s.Kind == "dense" || s.Kind == "conv1d" {
+			// Deliberately far from the float weights: any use of this
+			// section would move the outputs.
+			ls.Quant = make([]int8, len(s.Weights[0]))
+			for i := range ls.Quant {
+				ls.Quant[i] = 127
+			}
+			ls.QuantScale = make([]float64, len(s.Weights[1]))
+			for i := range ls.QuantScale {
+				ls.QuantScale[i] = 1
+			}
+		}
+		legacy.Layers = append(legacy.Layers, ls)
+	}
 	var buf bytes.Buffer
-	if err := net.Encode(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeNetwork(&buf, rand.New(rand.NewSource(10)))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("legacy artifact no longer decodes: %v", err)
 	}
-	if !got.Quantized() {
-		t.Fatal("decoded network lost its quant section")
-	}
-	x := randSeq(rng, 5, 4)
-	want := net.NewPredictor(5, 4).Predict(x)
-	have := got.NewPredictor(5, 4).Predict(x)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("class %d: %v != %v", i, want[i], have[i])
-		}
-	}
-}
-
-// TestDecodeNetworkRejectsCorruptQuant extends the corrupt-spec contract
-// to the int8 section: mismatched lengths or non-finite scales must fail
-// decode, and a one-sided section is corrupt too.
-func TestDecodeNetworkRejectsCorruptQuant(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	dense := func(mut func(*layerSpec)) netSpec {
-		s := layerSpec{
-			Kind: "dense", Ints: []int{2, 2},
-			Weights:    [][]float64{{1, 2, 3, 4}, {0, 0}},
-			Quant:      []int8{1, 2, 3, 4},
-			QuantScale: []float64{0.5, 0.25},
-		}
-		mut(&s)
-		return netSpec{Layers: []layerSpec{s}}
-	}
-	cases := map[string]netSpec{
-		"quant short":    dense(func(s *layerSpec) { s.Quant = s.Quant[:3] }),
-		"scale short":    dense(func(s *layerSpec) { s.QuantScale = s.QuantScale[:1] }),
-		"scale only":     dense(func(s *layerSpec) { s.Quant = nil }),
-		"quant only":     dense(func(s *layerSpec) { s.QuantScale = nil }),
-		"scale NaN":      dense(func(s *layerSpec) { s.QuantScale[0] = math.NaN() }),
-		"scale Inf":      dense(func(s *layerSpec) { s.QuantScale[1] = math.Inf(1) }),
-		"scale negative": dense(func(s *layerSpec) { s.QuantScale[0] = -1 }),
-		"conv quant short": {Layers: []layerSpec{{
-			Kind: "conv1d", Ints: []int{2, 2, 3},
-			Weights:    [][]float64{make([]float64, 12), make([]float64, 2)},
-			Quant:      make([]int8, 7),
-			QuantScale: []float64{1, 1},
-		}}},
-	}
-	for name, spec := range cases {
-		t.Run(name, func(t *testing.T) {
-			_, err := DecodeNetwork(bytes.NewReader(encodeSpec(t, spec)), rng)
-			if !errors.Is(err, ErrBadNetworkSpec) {
-				t.Fatalf("err = %v, want ErrBadNetworkSpec", err)
+	want, have := net.NewPredictor(5, 4), got.NewPredictor(5, 4)
+	for trial := 0; trial < 8; trial++ {
+		x := randSeq(rng, 1+trial%5, 4)
+		w, h := want.Predict(x), have.Predict(x)
+		for i := range w {
+			if w[i] != h[i] {
+				t.Fatalf("trial %d class %d: %v != float %v", trial, i, h[i], w[i])
 			}
-		})
+		}
 	}
 }

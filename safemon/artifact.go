@@ -258,9 +258,6 @@ type persistedConfig struct {
 	CascadeInner       string
 	CascadeArm         float64
 	CascadeHoldoff     int
-	// Quantized is a new field: artifacts written before it decode as
-	// false, and older decoders ignore it (gob field evolution).
-	Quantized bool
 }
 
 func persistConfig(c Config) persistedConfig {
@@ -282,7 +279,6 @@ func persistConfig(c Config) persistedConfig {
 		CascadeInner:       c.CascadeInner,
 		CascadeArm:         c.CascadeArm,
 		CascadeHoldoff:     c.CascadeHoldoff,
-		Quantized:          c.Quantized,
 	}
 }
 
@@ -315,9 +311,6 @@ func (p persistedConfig) restore(base Config) (Config, error) {
 	cfg.CascadeInner = p.CascadeInner
 	cfg.CascadeArm = p.CascadeArm
 	cfg.CascadeHoldoff = p.CascadeHoldoff
-	// Quantization can be enabled at load time on a float artifact (the
-	// open-time option wins), but a quantized artifact stays quantized.
-	cfg.Quantized = p.Quantized || base.Quantized
 	return cfg, nil
 }
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/gesture"
 )
 
 // saveArtifact marshals a fitted detector to bytes.
@@ -182,6 +185,96 @@ func TestLoadCorruptArtifactTypedErrors(t *testing.T) {
 				t.Fatalf("error %T is not a *ArtifactError", err)
 			}
 		})
+	}
+}
+
+// legacyPersistedConfig is persistedConfig as artifacts written while
+// int8 error heads existed stored it: the same fields plus Quantized.
+type legacyPersistedConfig struct {
+	Threshold          float64
+	GroundTruthContext bool
+	Lookahead          bool
+	GestureFeatures    []int
+	ErrorFeatures      []int
+	Window             int
+	Arch               int
+	Epochs             int
+	TrainStride        int
+	Seed               int64
+	EnvelopeMargin     float64
+	Atoms              int
+	SkipLag            int
+	CascadeFront       string
+	CascadeInner       string
+	CascadeArm         float64
+	CascadeHoldoff     int
+	Quantized          bool
+}
+
+// legacyContextPayload is contextPayload carrying a legacyPersistedConfig.
+type legacyContextPayload struct {
+	Config  legacyPersistedConfig
+	Monitor []byte
+	Chain   *gesture.MarkovChain
+	Blend   float64
+}
+
+// TestLoadArtifactWithLegacyInt8Flag pins compatibility with artifacts saved
+// with Quantized=true: gob skips the field the decoder no longer has, so
+// the artifact loads (format version unchanged) and serves the float
+// detector's verdicts exactly.
+func TestLoadArtifactWithLegacyInt8Flag(t *testing.T) {
+	det := fittedDetector(t, "context-aware")
+	backend, payload, err := parseArtifact(saveArtifact(t, det))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p contextPayload
+	if err := decodeGob(backend, payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	// Carry the config over by field name, as gob itself would.
+	var cfg bytes.Buffer
+	if err := gob.NewEncoder(&cfg).Encode(p.Config); err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyContextPayload{Monitor: p.Monitor, Chain: p.Chain, Blend: p.Blend}
+	if err := gob.NewDecoder(&cfg).Decode(&legacy.Config); err != nil {
+		t.Fatal(err)
+	}
+	legacy.Config.Quantized = true
+	legacyPayload, err := encodeGob(backend, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacyPayload, []byte("Quantized")) {
+		t.Fatal("legacy payload does not carry the Quantized field")
+	}
+	var art bytes.Buffer
+	if err := writeArtifact(&art, backend, legacyPayload); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadDetector(&art)
+	if err != nil {
+		t.Fatalf("load legacy quantized artifact: %v", err)
+	}
+	traj := testFold(t).Test[0]
+	want, err := det.Run(context.Background(), traj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Run(context.Background(), traj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Verdicts) != len(want.Verdicts) {
+		t.Fatalf("%d verdicts, want %d", len(got.Verdicts), len(want.Verdicts))
+	}
+	for i := range want.Verdicts {
+		if got.Verdicts[i] != want.Verdicts[i] {
+			t.Fatalf("frame %d: legacy artifact verdict %+v, float detector %+v", i, got.Verdicts[i], want.Verdicts[i])
+		}
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"repro/internal/core"
-	"repro/internal/kinematics"
 )
 
 // cascadeDetector implements two-stage cascade detection: a cheap front
@@ -229,20 +226,13 @@ func (d *cascadeDetector) loadPayload(backend string, payload []byte) error {
 		if got := front.Info().Name; got != frontName {
 			return artifactErr("validate", "cascade", fmt.Errorf("%w: front artifact is for %q, config says %q", ErrCorruptPayload, got, frontName))
 		}
-		// The inner stage loads through its open-time stage config rather
-		// than LoadDetector's artifact-only path, so cascade-level options
-		// with load-time semantics (WithQuantized) reach the nested
-		// detector; its own Load rejects artifacts for any other backend.
-		innerDet, err := openWith(innerName, probe.stageConfig(false))
+		innerDet, err := LoadDetector(bytes.NewReader(p.Inner))
 		if err != nil {
 			return artifactErr("decode", "cascade", fmt.Errorf("inner stage: %w", err))
 		}
-		if err := innerDet.Load(bytes.NewReader(p.Inner)); err != nil {
-			return artifactErr("decode", "cascade", fmt.Errorf("inner stage: %w", err))
-		}
 		inner, ok := innerDet.(*contextDetector)
-		if !ok {
-			return artifactErr("validate", "cascade", fmt.Errorf("%w: inner backend %q is not gateable", ErrCorruptPayload, innerName))
+		if got := innerDet.Info().Name; !ok || got != innerName {
+			return artifactErr("validate", "cascade", fmt.Errorf("%w: inner artifact is for %q, config says %q", ErrCorruptPayload, got, innerName))
 		}
 		d.cfg = cfg
 		d.front = front
@@ -281,7 +271,7 @@ func (d *cascadeDetector) NewSession(opts ...SessionOption) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := d.inner.newGatedStream(sc.groundTruth)
+	in, err := d.inner.newStream(sc.groundTruth)
 	if err != nil {
 		fs.Close()
 		return nil, err
@@ -292,7 +282,7 @@ func (d *cascadeDetector) NewSession(opts ...SessionOption) (Session, error) {
 // cascadeSession gates the inner stream on the front session's score.
 type cascadeSession struct {
 	front   Session
-	inner   *gatedStream
+	inner   coreStream
 	arm     float64
 	holdoff int
 	// armed counts how many more frames the inner detector runs; a front
@@ -310,11 +300,11 @@ func (s *cascadeSession) Push(f *Frame) (FrameVerdict, error) {
 	}
 	if s.armed > 0 {
 		s.armed--
-		return s.inner.push(f), nil
+		return s.inner.Push(f), nil
 	}
 	// Disarmed: keep the inner windows warm without inference and report
 	// the front's score. Only the inner stage may raise alerts.
-	s.inner.observe(f)
+	s.inner.Observe(f)
 	fv.Unsafe = false
 	return fv, nil
 }
@@ -323,7 +313,7 @@ func (s *cascadeSession) Reset(groundTruth []int) error {
 	if err := s.front.Reset(groundTruth); err != nil {
 		return err
 	}
-	if err := s.inner.reset(groundTruth); err != nil {
+	if err := s.inner.Reset(groundTruth); err != nil {
 		return err
 	}
 	s.armed = 0
@@ -331,64 +321,3 @@ func (s *cascadeSession) Reset(groundTruth []int) error {
 }
 
 func (s *cascadeSession) Close() error { return s.front.Close() }
-
-// batchable reports whether the inner stage can join a cross-session
-// batch. The front stage always runs per-stream in planPush — it is the
-// cheap filter; only the armed inner inference is worth batching.
-func (s *cascadeSession) batchable() bool { return s.inner.st != nil }
-
-// planPush runs the front filter and the gating decision exactly as Push
-// does, deferring only the armed inner inference to the batch.
-func (s *cascadeSession) planPush(f *Frame) batchEntry {
-	fv, err := s.front.Push(f)
-	if err != nil {
-		return batchEntry{done: true, err: err}
-	}
-	if fv.Score >= s.arm {
-		s.armed = s.holdoff
-	}
-	if s.armed > 0 {
-		s.armed--
-		return batchEntry{stream: s.inner.st, mon: s.inner.mon}
-	}
-	s.inner.observe(f)
-	fv.Unsafe = false
-	return batchEntry{done: true, verdict: fv}
-}
-
-func (s *cascadeSession) finishPush(_ *Frame, v FrameVerdict) (FrameVerdict, error) {
-	return v, nil
-}
-
-// gatedStream is the cascade's view of an inner nn-backed stream: full
-// inference (push), window-warming without inference (observe), and reuse
-// (reset). Frame indices stay aligned because both paths advance the
-// stream's frame counter. st/mon are set only for plain two-stage monitor
-// streams; they expose the concrete stream to the cross-session Batcher
-// (batch.go) — lookahead inner stages stay unbatchable.
-type gatedStream struct {
-	st      *core.Stream
-	mon     *core.Monitor
-	push    func(*kinematics.Frame) FrameVerdict
-	observe func(*kinematics.Frame)
-	reset   func([]int) error
-}
-
-// newGatedStream exposes a contextDetector's stream to the cascade.
-func (d *contextDetector) newGatedStream(groundTruth []int) (*gatedStream, error) {
-	if d.mon == nil {
-		return nil, notReadyErr(d.name, d.loadErr)
-	}
-	if d.la != nil {
-		st, err := d.la.NewStream(groundTruth)
-		if err != nil {
-			return nil, err
-		}
-		return &gatedStream{push: st.Push, observe: st.Observe, reset: st.Reset}, nil
-	}
-	st, err := d.mon.NewStream(groundTruth)
-	if err != nil {
-		return nil, err
-	}
-	return &gatedStream{st: st, mon: d.mon, push: st.Push, observe: st.Observe, reset: st.Reset}, nil
-}

@@ -129,9 +129,6 @@ func (d *contextDetector) Fit(ctx context.Context, trajs []*Trajectory) error {
 	mon := core.NewMonitor(gc, lib)
 	mon.Threshold = d.cfg.Threshold
 	mon.UseGroundTruthGestures = d.cfg.GroundTruthContext
-	if d.cfg.Quantized {
-		mon.QuantizeWeights()
-	}
 	if d.cfg.Lookahead {
 		chain := d.cfg.Chain
 		if chain == nil {
@@ -253,12 +250,6 @@ func (d *contextDetector) loadPayload(backend string, payload []byte) error {
 			}
 			cfg.Chain = p.Chain
 		}
-		if cfg.Quantized {
-			// No-op for layers restored with an int8 artifact section;
-			// deterministic re-quantization for float artifacts loaded
-			// with WithQuantized.
-			mon.QuantizeWeights()
-		}
 		d.cfg = cfg
 		d.mon = mon
 		d.la = la
@@ -278,47 +269,48 @@ func (d *contextDetector) Run(ctx context.Context, traj *Trajectory) (*Trace, er
 }
 
 func (d *contextDetector) NewSession(opts ...SessionOption) (Session, error) {
-	if d.mon == nil {
-		return nil, notReadyErr(d.name, d.loadErr)
-	}
 	sc := applySessionOptions(opts)
-	if d.la != nil {
-		st, err := d.la.NewStream(sc.groundTruth)
-		if err != nil {
-			return nil, err
-		}
-		// Lookahead blends a grammar term into every score, which the
-		// batched stepper does not model: st/mon stay nil so the session
-		// reports itself unbatchable and the batcher falls back to Push.
-		return wrapGuard(&coreSession{push: st.Push, reset: st.Reset}, sc)
-	}
-	st, err := d.mon.NewStream(sc.groundTruth)
+	st, err := d.newStream(sc.groundTruth)
 	if err != nil {
 		return nil, err
 	}
-	return wrapGuard(&coreSession{st: st, mon: d.mon, push: st.Push, reset: st.Reset}, sc)
+	return wrapGuard(&coreSession{st: st}, sc)
 }
 
-// coreSession adapts core's two stream types to the Session interface.
-// st/mon are set only for plain two-stage monitor streams; they expose the
-// concrete stream to the cross-session Batcher (batch.go).
-type coreSession struct {
-	st    *core.Stream
-	mon   *core.Monitor
-	push  func(*Frame) FrameVerdict
-	reset func([]int) error
+// coreStream is what core's two stream types (the plain two-stage
+// monitor's and the lookahead monitor's) share: full inference (Push),
+// window-warming without inference (Observe, the cascade's disarmed
+// path), and reuse (Reset). Both advance the frame counter, so frame
+// indices stay aligned whichever path a frame takes.
+type coreStream interface {
+	Push(*Frame) FrameVerdict
+	Observe(*Frame)
+	Reset(groundTruth []int) error
 }
 
-func (s *coreSession) Push(f *Frame) (FrameVerdict, error) { return s.push(f), nil }
-func (s *coreSession) Reset(groundTruth []int) error       { return s.reset(groundTruth) }
+// newStream opens a stream of the fitted monitor, blended with the task
+// grammar when the detector is a lookahead one.
+func (d *contextDetector) newStream(groundTruth []int) (coreStream, error) {
+	if d.mon == nil {
+		return nil, notReadyErr(d.name, d.loadErr)
+	}
+	if d.la != nil {
+		st, err := d.la.NewStream(groundTruth)
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
+	}
+	st, err := d.mon.NewStream(groundTruth)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// coreSession adapts a coreStream to the Session interface.
+type coreSession struct{ st coreStream }
+
+func (s *coreSession) Push(f *Frame) (FrameVerdict, error) { return s.st.Push(f), nil }
+func (s *coreSession) Reset(groundTruth []int) error       { return s.st.Reset(groundTruth) }
 func (s *coreSession) Close() error                        { return nil }
-
-func (s *coreSession) batchable() bool { return s.st != nil }
-
-func (s *coreSession) planPush(_ *Frame) batchEntry {
-	return batchEntry{stream: s.st, mon: s.mon}
-}
-
-func (s *coreSession) finishPush(_ *Frame, v FrameVerdict) (FrameVerdict, error) {
-	return v, nil
-}

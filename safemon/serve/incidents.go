@@ -253,6 +253,7 @@ func (s *Server) Replay(ctx context.Context, id, backend, policy string) (*Repla
 		v, err := sess.Push(ctx, &inc.Inputs[i])
 		if err != nil {
 			healthy = false
+			s.logPanic(err, backend)
 			return nil, fmt.Errorf("serve: replay frame %d: %w", i, err)
 		}
 		wire := WireVerdict(v)

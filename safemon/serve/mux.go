@@ -322,6 +322,11 @@ func (s *Server) muxOpen(r *http.Request, mw *muxWriter, sessions map[uint32]*mu
 	if len(rec.Labels) > 0 {
 		labels = append([]int{}, rec.Labels...)
 	}
+	if err := checkLabels(labels); err != nil {
+		s.manager.Unreserve()
+		mw.error(sid, openError(err))
+		return
+	}
 	sess, err := s.manager.Open(backend, labels)
 	if err != nil {
 		s.manager.Unreserve()
@@ -339,7 +344,7 @@ func (s *Server) muxOpen(r *http.Request, mw *muxWriter, sessions map[uint32]*mu
 	}
 	s.codec.muxSessions.Add(1)
 	tr := s.metrics.streamTrace(backend, "binary-mux", sess.Version(), policyName,
-		s.manager.cfg.MaxBatch > 1, s.cfg.Ledger != nil)
+		s.cfg.Ledger != nil)
 	ms := &muxSession{sid: sid, in: make(chan muxFrame, muxInDepth), quit: make(chan struct{})}
 	sessions[sid] = ms
 	mw.opened(sid, sess.Version())
@@ -402,13 +407,13 @@ func (s *Server) runMuxSession(ctx context.Context, ms *muxSession, sess *Sessio
 			if err != nil {
 				healthy = false
 				endReason = "error: push"
+				s.logPanic(err, backend)
 				ms.failed.Store(true)
 				finish()
 				mw.error(ms.sid, pushError(err))
 				return
 			}
 			tr.setStage(stageQueue, sess.trace.queueNS)
-			tr.setStage(stageGather, sess.trace.gatherNS)
 			tr.setStage(stageInfer, sess.trace.inferNS)
 			frames++
 			wire := WireVerdict(v)

@@ -212,9 +212,6 @@ func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	// Shards flush any partially-gathered micro-batches and stop holding
-	// gather windows open; attached streams keep their verdicts flowing.
-	s.manager.BeginDrain()
 	// Every ledger event emitted so far reaches stable storage now, so a
 	// SIGTERM that never completes the full Shutdown still loses nothing.
 	s.cfg.Ledger.Flush()
@@ -401,6 +398,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	default:
 		pending = &first
 	}
+	if err := checkLabels(labels); err != nil {
+		unreserve()
+		conn.fail(openError(err))
+		return
+	}
 
 	sess, err := s.manager.Open(backend, labels)
 	if err != nil {
@@ -449,7 +451,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Per-frame stage instrumentation: resolved once at admission (the
 	// histogram registrations), fed per frame without allocating.
 	tr := s.metrics.streamTrace(backend, codecName, sess.Version(), policyName,
-		s.manager.cfg.MaxBatch > 1, s.cfg.Ledger != nil)
+		s.cfg.Ledger != nil)
 
 	// One heap frame reused across the loop: its pointer rides the shard
 	// mailbox, so an in-loop variable would escape and cost an allocation
@@ -494,13 +496,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			healthy = false
 			endReason = "error: push"
+			s.logPanic(err, backend)
 			finish()
 			conn.fail(pushError(err))
 			return
 		}
-		// The shard wrote the queue/gather/infer split before replying.
+		// The shard wrote the queue/infer split before replying.
 		tr.setStage(stageQueue, sess.trace.queueNS)
-		tr.setStage(stageGather, sess.trace.gatherNS)
 		tr.setStage(stageInfer, sess.trace.inferNS)
 		frames++
 		wire := WireVerdict(v)
@@ -550,8 +552,20 @@ func openError(err error) *ErrorMsg {
 		return &ErrorMsg{Code: http.StatusServiceUnavailable, Message: err.Error()}
 	case errors.Is(err, ErrUnknownBackend):
 		return &ErrorMsg{Code: http.StatusNotFound, Message: err.Error()}
+	case errors.Is(err, ErrBadLabels):
+		return &ErrorMsg{Code: http.StatusBadRequest, Message: err.Error()}
 	default:
 		return &ErrorMsg{Code: http.StatusBadRequest, Message: err.Error()}
+	}
+}
+
+// logPanic logs a recovered detector panic with its value and stack;
+// the client's 500 record carries only the generic ErrSessionPanic text.
+func (s *Server) logPanic(err error, backend string) {
+	var pe *panicError
+	if errors.As(err, &pe) {
+		s.log().Error("detector session panicked", "backend", backend,
+			"panic", fmt.Sprint(pe.value), "stack", string(pe.stack))
 	}
 }
 

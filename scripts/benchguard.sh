@@ -4,9 +4,8 @@
 #
 # Runs the per-backend session-step benchmarks with -benchmem — the
 # fitted-detector path (BenchmarkSessionStep), the artifact-loaded path
-# (BenchmarkSessionStepLoaded), the ledger-recording path
-# (BenchmarkSessionStepLedgered), and the B=16 cross-session micro-batch
-# path (BenchmarkBatchedStep) — plus the guard policy engine's
+# (BenchmarkSessionStepLoaded) and the ledger-recording path
+# (BenchmarkSessionStepLedgered) — plus the guard policy engine's
 # BenchmarkGuardStep, the event ledger's emit path
 # (BenchmarkLedgerAppend), the binary wire codec's encode+decode
 # round trip (BenchmarkCodecRoundTrip, binary subs only), the
@@ -55,12 +54,6 @@ out="$("$GO" test -run='^$' -bench='^BenchmarkSessionStep(Loaded|Ledgered)?$' \
 	echo "benchguard: benchmark run failed" >&2
 	exit 1
 }
-batchout="$("$GO" test -run='^$' -bench='^BenchmarkBatchedStep$/.*/^B=16$' \
-	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/)" || {
-	echo "$batchout"
-	echo "benchguard: batched-step benchmark run failed" >&2
-	exit 1
-}
 guardout="$("$GO" test -run='^$' -bench='^BenchmarkGuardStep$' \
 	-benchtime="$BENCHTIME" -count="$BENCHCOUNT" -benchmem ./safemon/guard/)" || {
 	echo "$guardout"
@@ -101,7 +94,6 @@ trainout="$("$GO" test -run='^$' -bench='^BenchmarkLSTMTrainStep$' \
 }
 out="$out
 $trainout
-$batchout
 $guardout
 $ledgerout
 $codecout
@@ -122,7 +114,7 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 		}
 		close(baseline)
 	}
-	/^Benchmark(SessionStep|BatchedStep|GuardStep|LedgerAppend|CodecRoundTrip|ServeStreamWarm|LSTMTrainStep)/ {
+	/^Benchmark(SessionStep|GuardStep|LedgerAppend|CodecRoundTrip|ServeStreamWarm|LSTMTrainStep)/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
 		if (name == "BenchmarkLSTMTrainStep") {
@@ -169,4 +161,4 @@ echo "$out" | awk -v baseline="$baseline" -v scale="$BENCHGUARD_NSOP_SCALE" '
 	echo "benchguard: hot-path budget exceeded (allocs/op or median ns/op)" >&2
 	exit 1
 }
-echo "benchguard: all session-step, batched-step, guard-step, ledger-append, codec round-trip, serve warm-path and LSTM training-step benchmarks within their allocs/op and median ns/op budgets"
+echo "benchguard: all session-step, guard-step, ledger-append, codec round-trip, serve warm-path and LSTM training-step benchmarks within their allocs/op and median ns/op budgets"

@@ -4,10 +4,11 @@
 # Two rules, both enforced over the serving layer (safemon/serve), the
 # daemon (cmd/), README.md, and the exposition golden file:
 #
-#   1. Naming: every registered metric family must be safemon_-prefixed
-#      and end in _total, _seconds or _bytes (the repo-wide suffix
-#      discipline; gauges deliberately keep _total where they mirror a
-#      /stats counter pair — the TYPE line disambiguates).
+#   1. Naming, by metric type (read from the registration call): every
+#      family is safemon_-prefixed; counters (Counter, CounterFunc) end
+#      in _total; gauges (Gauge, GaugeFunc, GaugeCollector) must not end
+#      in _total, which Prometheus reserves for counters, and may be
+#      unitless; histograms end in _seconds or _bytes.
 #   2. No phantom metrics: every safemon_* name mentioned anywhere —
 #      tests, docs, the golden file — must correspond to a family a
 #      registration call (Counter/Gauge/Histogram/CounterFunc/GaugeFunc/
@@ -23,11 +24,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 name_re='safemon_[a-z0-9_]+'
-suffix_re='_(total|seconds|bytes)$'
 
-# Families created by a registration call in code.
-registered="$(grep -rhoE "\.(Counter|Gauge|Histogram|CounterFunc|GaugeFunc|GaugeCollector)\(\"$name_re\"" \
-	--include='*.go' safemon/serve cmd | grep -oE "$name_re" | sort -u)"
+# Registration calls in code, one "<call> <family>" pair per line.
+regs="$(grep -rhoE "\.(Counter|Gauge|Histogram|CounterFunc|GaugeFunc|GaugeCollector)\(\"$name_re\"" \
+	--include='*.go' safemon/serve cmd | sed -E 's/^\.([A-Za-z]+)\("([a-z0-9_]+)"$/\1 \2/' | sort -u)"
+registered="$(printf '%s\n' "$regs" | cut -d' ' -f2 | sort -u)"
 
 if [ -z "$registered" ]; then
 	echo "metriclint: found no metric registrations — the grep is broken" >&2
@@ -36,13 +37,19 @@ fi
 
 bad=0
 
-# Rule 1: registered family names obey the suffix discipline.
-for fam in $registered; do
-	if ! printf '%s\n' "$fam" | grep -qE "$suffix_re"; then
-		echo "metriclint: registered metric $fam lacks a _total/_seconds/_bytes suffix" >&2
-		bad=1
-	fi
-done
+# Rule 1: each family's suffix matches the type its registration gives it.
+printf '%s\n' "$regs" | awk '
+	$1 ~ /^Counter/ && $2 !~ /_total$/ {
+		printf "metriclint: counter %s must end in _total\n", $2; bad = 1
+	}
+	$1 ~ /^Gauge/ && $2 ~ /_total$/ {
+		printf "metriclint: gauge %s must not end in _total (reserved for counters)\n", $2; bad = 1
+	}
+	$1 == "Histogram" && $2 !~ /_(seconds|bytes)$/ {
+		printf "metriclint: histogram %s must end in _seconds or _bytes\n", $2; bad = 1
+	}
+	END { exit bad }
+' >&2 || bad=1
 
 # Rule 2: every mentioned name resolves to a registered family.
 mentioned="$(grep -rhoE "$name_re" --include='*.go' safemon/serve cmd README.md \
